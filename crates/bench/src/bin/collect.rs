@@ -9,13 +9,13 @@
 //! ```
 //!
 //! The micro suites time batch scheduling of 32 tasks on 16 machines and
-//! MIBS_8 across cluster sizes, plus warm score-lookup probes (the legacy
-//! dense-table path and the machine-class-adjusted `class_score` path);
-//! the kernel suite times the event-kernel hot paths (end-to-end
-//! `kernel_events_per_sec`, raw `queue_push_pop_ns` for both queue
-//! backends, `mix_head_search_ns`); the macro suite times a reduced
-//! Fig 9 dynamic sweep single-threaded versus multi-threaded and reports
-//! the speedup.
+//! MIBS_8 and MIX_8 across cluster sizes, plus warm score-lookup probes
+//! (the legacy dense-table path and the machine-class-adjusted
+//! `class_score` path); the kernel suite times the event-kernel hot
+//! paths (end-to-end `kernel_events_per_sec`, raw `queue_push_pop_ns` for
+//! both queue backends, `mix_head_search_ns`); the macro suite times a
+//! reduced Fig 9 dynamic sweep single-threaded versus multi-threaded and
+//! reports the speedup.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
@@ -176,33 +176,40 @@ fn micro_suite(quick: bool, results: &mut Vec<Value>) {
         eprintln!("schedulers/{name}: {:.1} us per call", ns / 1e3);
     }
 
-    // MIBS_8 across cluster sizes: cost must stay flat (class index).
+    // MIBS_8 and MIX_8 across cluster sizes: cost must stay flat, since
+    // both scan free-slot classes and MIX undoes each head candidate on
+    // the live cluster instead of copying it.
     let sizes: &[usize] = if quick { &[16, 128] } else { &[16, 128, 1024] };
     for &machines in sizes {
-        let ns = bench(
-            warmup,
-            iters,
-            || {
-                (
-                    Mibs::new(8),
-                    batch(8, 8, 9),
-                    ClusterState::new(machines, 2, chars.clone()),
-                    ScoringPolicy::new(&predictor, Objective::MinRuntime),
-                )
-            },
-            |(mut s, mut q, mut cl, sc)| {
-                s.schedule(&mut q, &mut cl, &sc);
-            },
-        );
-        results.push(row(
-            "cluster_scaling",
-            format!("MIBS8_batch8_machines{machines}"),
-            "schedule_call",
-            "ns",
-            ns,
-            &[("iters", iters as f64)],
-        ));
-        eprintln!("cluster_scaling/{machines}: {:.1} us per call", ns / 1e3);
+        for name in ["MIBS", "MIX"] {
+            let ns = bench(
+                warmup,
+                iters,
+                || {
+                    (
+                        scheduler_by_name(name, 8),
+                        batch(8, 8, 9),
+                        ClusterState::new(machines, 2, chars.clone()),
+                        ScoringPolicy::new(&predictor, Objective::MinRuntime),
+                    )
+                },
+                |(mut s, mut q, mut cl, sc)| {
+                    s.schedule(&mut q, &mut cl, &sc);
+                },
+            );
+            results.push(row(
+                "cluster_scaling",
+                format!("{name}8_batch8_machines{machines}"),
+                "schedule_call",
+                "ns",
+                ns,
+                &[("iters", iters as f64)],
+            ));
+            eprintln!(
+                "cluster_scaling/{name}8/{machines}: {:.1} us per call",
+                ns / 1e3
+            );
+        }
     }
 
     // Warm score lookup: after the first pass every (app, class) score is
@@ -396,7 +403,8 @@ fn kernel_suite(quick: bool, tb: &Testbed, results: &mut Vec<Value>) {
     }
 
     // MIX head search: one schedule() call over a 32-task window on 16
-    // machines, reported per head candidate (32 heads per call).
+    // machines, reported per window position (the call's time over its
+    // 32 positions, counting heads skipped as duplicates).
     let (predictor, chars) = synthetic_world(8);
     let (warmup, iters) = if quick { (3, 20) } else { (10, 200) };
     let ns = bench(
@@ -424,7 +432,7 @@ fn kernel_suite(quick: bool, tb: &Testbed, results: &mut Vec<Value>) {
         &[("iters", iters as f64)],
     ));
     eprintln!(
-        "kernel/mix_head_search_ns: {:.1} us per head candidate",
+        "kernel/mix_head_search_ns: {:.1} us per window position",
         per_head / 1e3
     );
 }

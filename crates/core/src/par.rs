@@ -1,6 +1,6 @@
 //! Deterministic fork-join helpers built on `std::thread::scope`.
 //!
-//! The experiment sweeps and MIX's head-candidate search are
+//! The experiment sweeps and the test suite's seeded testbeds are
 //! embarrassingly parallel: every job is a pure function of its inputs,
 //! and results are reduced in job-index order, so output is bit-identical
 //! for any worker count. A few scoped threads pulling from a shared work

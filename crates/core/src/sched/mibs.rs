@@ -80,8 +80,28 @@ impl Scheduler for Mibs {
     ) -> Vec<Assignment> {
         let mut out = Vec::new();
         let mut window: Vec<Task> = queue.drain(..).collect();
-        let n_apps = scoring.n_apps();
+        self.place_window(&mut window, cluster, scoring, &mut out);
+        // Unplaced window tasks return to the caller's queue.
+        queue.extend(window);
+        out
+    }
+}
 
+impl Mibs {
+    /// The Min-Min loop over a caller-owned `window`: places tasks until
+    /// the window is empty or the cluster is full, appending each
+    /// placement to `out`. Placed tasks leave the window by
+    /// `swap_remove`, so the leftovers end up permuted, not in arrival
+    /// order. MIX calls this once per head candidate with its own warm
+    /// buffers, so the head search allocates nothing per candidate.
+    pub(super) fn place_window(
+        &mut self,
+        window: &mut Vec<Task>,
+        cluster: &mut ClusterState,
+        scoring: &ScoringPolicy<'_>,
+        out: &mut Vec<Assignment>,
+    ) {
+        let n_apps = scoring.n_apps();
         while !window.is_empty() && cluster.n_free() > 0 {
             cluster.free_classes_into(&mut self.classes);
             let nc = self.classes.len();
@@ -96,10 +116,12 @@ impl Scheduler for Mibs {
             //     and among those give the machine to the most *fragile*
             //     task — benign partners are then matched *to* it, instead
             //     of insensitive tasks consuming them;
-            //  2. otherwise prefer the oldest task in the window. Always
+            //  2. otherwise prefer the earliest window position. Always
             //     preferring fragile tasks would systematically prioritize
             //     the slowest applications and depress completed-task
-            //     throughput under overload.
+            //     throughput under overload. Position is arrival order
+            //     only until the first `swap_remove` below permutes the
+            //     window; after that it is an approximation of age.
             let mut best: Option<((f64, f64, usize), usize, usize)> = None;
             for (ti, t) in window.iter().enumerate() {
                 let a = t.app.index();
@@ -116,7 +138,7 @@ impl Scheduler for Mibs {
                 for (ci, c) in self.classes.iter().enumerate() {
                     let excess = row[ci];
                     // Lexicographic key: excess, then idle-with-fragility
-                    // preference, then window age.
+                    // preference, then window position.
                     let tie = if c.key.is_idle() {
                         -fragility
                     } else {
@@ -154,9 +176,6 @@ impl Scheduler for Mibs {
                 predicted_score: score,
             });
         }
-        // Unplaced window tasks return to the caller's queue.
-        queue.extend(window);
-        out
     }
 }
 

@@ -8,32 +8,48 @@
 //! paper's point is that the small additional gain rarely justifies the
 //! overhead.
 //!
-//! Head candidates are independent, so on large clusters each one is
-//! evaluated on its own cluster clone across worker threads; candidates
-//! are reduced in head order, making the result bit-identical to the
-//! serial place/undo evaluation for any thread count.
+//! Every head candidate is evaluated on the live cluster and undone
+//! (`place`/`clear` are exact inverses over the free-slot index), with
+//! one set of scratch buffers that stays warm across heads and calls, so
+//! the cost of a call is independent of cluster size. A head whose app
+//! equals the previous head's is skipped: its rest window has the same
+//! app sequence, so it would reproduce the previous candidate exactly
+//! and the strict better-rule could never pick it.
 
 use super::{place_best_with, Assignment, ClusterState, FreeClass, Mibs, Scheduler, Task};
-use crate::par;
 use crate::predictor::ScoringPolicy;
-use std::collections::{HashSet, VecDeque};
-
-/// Minimum cluster size at which cloning the cluster per head candidate
-/// and fanning out to worker threads pays for the thread handoff; below
-/// it the serial place/undo evaluation is faster.
-const PAR_MACHINES_THRESHOLD: usize = 32;
+use std::collections::VecDeque;
 
 /// The mixed scheduler.
 #[derive(Debug, Clone)]
 pub struct Mix {
     /// Nominal batch size (display name).
     pub queue_len: usize,
+    /// Scratch: the MIBS instance that schedules each rest window (it
+    /// owns its own flat scoring buffers).
+    mibs: Mibs,
+    /// Scratch: class and score rows for the forced head placement.
+    classes: Vec<FreeClass>,
+    scores: Vec<f64>,
+    /// Scratch: the window minus the current head.
+    rest: Vec<Task>,
+    /// Scratch: the current head's assignment set, and the best so far.
+    placed: Vec<Assignment>,
+    best: Vec<Assignment>,
 }
 
 impl Mix {
     /// Creates a MIX scheduler with the given nominal batch size.
     pub fn new(queue_len: usize) -> Self {
-        Mix { queue_len }
+        Mix {
+            queue_len,
+            mibs: Mibs::new(queue_len),
+            classes: Vec::new(),
+            scores: Vec::new(),
+            rest: Vec::new(),
+            placed: Vec::new(),
+            best: Vec::new(),
+        }
     }
 }
 
@@ -45,27 +61,6 @@ impl Default for Mix {
 
 fn total_score(assignments: &[Assignment]) -> f64 {
     assignments.iter().map(|a| a.predicted_score).sum()
-}
-
-/// Per-evaluation scratch for the head search: a reusable MIBS instance
-/// (which owns its own flat scoring buffers) plus the class/score rows
-/// for the forced head placement. The serial path carries one `Scratch`
-/// across every head candidate; the parallel path gives each worker its
-/// own, since candidates run concurrently.
-struct Scratch {
-    mibs: Mibs,
-    classes: Vec<FreeClass>,
-    scores: Vec<f64>,
-}
-
-impl Scratch {
-    fn new(queue_len: usize) -> Self {
-        Scratch {
-            mibs: Mibs::new(queue_len),
-            classes: Vec::new(),
-            scores: Vec::new(),
-        }
-    }
 }
 
 impl Scheduler for Mix {
@@ -82,80 +77,51 @@ impl Scheduler for Mix {
         if queue.is_empty() || cluster.n_free() == 0 {
             return Vec::new();
         }
-        let tasks: Vec<Task> = queue.iter().copied().collect();
-        let queue_len = self.queue_len;
-        // Force task `head` to be placed first (by MIOS), then let MIBS
-        // schedule the remainder on the given cluster.
-        let evaluate = |head: usize,
-                        cluster: &mut ClusterState,
-                        scratch: &mut Scratch|
-         -> Option<Vec<Assignment>> {
-            let mut placed = vec![place_best_with(
+        let tasks: &[Task] = queue.make_contiguous();
+        self.best.clear();
+        let mut best_score = f64::INFINITY;
+        for head in 0..tasks.len() {
+            if head > 0 && tasks[head - 1].app == tasks[head].app {
+                continue;
+            }
+            // Force task `head` to be placed first (by MIOS), then let
+            // MIBS schedule the remainder, then undo both.
+            self.placed.clear();
+            let Some(first) = place_best_with(
                 tasks[head],
                 cluster,
                 scoring,
-                &mut scratch.classes,
-                &mut scratch.scores,
-            )?];
-            let mut rest: VecDeque<Task> = tasks
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != head)
-                .map(|(_, t)| *t)
-                .collect();
-            placed.extend(scratch.mibs.schedule(&mut rest, cluster, scoring));
-            Some(placed)
-        };
-
-        let candidates: Vec<Option<Vec<Assignment>>> =
-            if cluster.n_machines() >= PAR_MACHINES_THRESHOLD && tasks.len() > 1 {
-                // Each head candidate gets its own cluster clone and
-                // scratch, so the evaluations can run on worker threads.
-                let shared: &ClusterState = cluster;
-                par::map((0..tasks.len()).collect(), |head| {
-                    let mut scratch_cluster = shared.clone();
-                    let mut scratch = Scratch::new(queue_len);
-                    evaluate(head, &mut scratch_cluster, &mut scratch)
-                })
-            } else {
-                // Evaluate on the live cluster and undo (place/clear are
-                // exact inverses, cheaper than cloning small clusters).
-                // One scratch serves every head: the buffers stay warm.
-                let mut scratch = Scratch::new(queue_len);
-                (0..tasks.len())
-                    .map(|head| {
-                        let placed = evaluate(head, cluster, &mut scratch)?;
-                        for a in placed.iter().rev() {
-                            cluster.clear(a.vm);
-                        }
-                        Some(placed)
-                    })
-                    .collect()
+                &mut self.classes,
+                &mut self.scores,
+            ) else {
+                continue;
             };
-
-        // Reduce in head order: placement count first, then total score —
-        // the same better-than rule the serial loop applied.
-        let mut best: Option<(f64, Vec<Assignment>)> = None;
-        for placed in candidates.into_iter().flatten() {
-            let score = total_score(&placed);
-            let better = match &best {
-                None => true,
-                Some((best_score, best_assignments)) => {
-                    placed.len() > best_assignments.len()
-                        || (placed.len() == best_assignments.len() && score < *best_score)
-                }
-            };
-            if better {
-                best = Some((score, placed));
+            self.placed.push(first);
+            self.rest.clear();
+            self.rest.extend_from_slice(&tasks[..head]);
+            self.rest.extend_from_slice(&tasks[head + 1..]);
+            self.mibs
+                .place_window(&mut self.rest, cluster, scoring, &mut self.placed);
+            for a in self.placed.iter().rev() {
+                cluster.clear(a.vm);
+            }
+            // More placements first, then a strictly lower total score:
+            // ties keep the earlier head. Every candidate places at least
+            // its head, so an empty `best` always loses.
+            let score = total_score(&self.placed);
+            if self.placed.len() > self.best.len()
+                || (self.placed.len() == self.best.len() && score < best_score)
+            {
+                self.best.clear();
+                self.best.extend_from_slice(&self.placed);
+                best_score = score;
             }
         }
 
-        let Some((_, assignments)) = best else {
-            return Vec::new();
-        };
         // Commit the winning assignment set and drop its tasks from the
-        // queue.
-        for a in &assignments {
+        // queue. The id scan is O(window x placed), far below the head
+        // search's own cost, and needs no set.
+        for a in &self.best {
             cluster.place(
                 a.vm,
                 super::Resident {
@@ -164,9 +130,9 @@ impl Scheduler for Mix {
                 },
             );
         }
-        let assigned_ids: HashSet<u64> = assignments.iter().map(|a| a.task.id).collect();
-        queue.retain(|t| !assigned_ids.contains(&t.id));
-        assignments
+        let best = &self.best;
+        queue.retain(|t| !best.iter().any(|a| a.task.id == t.id));
+        self.best.clone()
     }
 }
 
@@ -236,33 +202,6 @@ mod tests {
         io_machines.sort_unstable();
         io_machines.dedup();
         assert_eq!(io_machines.len(), 3);
-    }
-
-    #[test]
-    fn parallel_head_search_matches_single_thread() {
-        let p = predictor();
-        let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
-        let tasks: Vec<Task> = (0..8)
-            .map(|i| task(i, if i % 2 == 0 { "io" } else { "cpu" }))
-            .collect();
-        // 64 machines crosses the parallel threshold, so both runs take
-        // the clone-per-head path; only the worker count differs.
-        let run = |threads: Option<usize>| {
-            crate::par::override_threads(threads);
-            let mut cluster = ClusterState::new(64, 2, app_chars());
-            let mut q: VecDeque<Task> = tasks.clone().into();
-            let out = Mix::new(8).schedule(&mut q, &mut cluster, &scoring);
-            crate::par::override_threads(None);
-            out
-        };
-        let single = run(Some(1));
-        let parallel = run(Some(4));
-        assert_eq!(single.len(), parallel.len());
-        for (a, b) in single.iter().zip(&parallel) {
-            assert_eq!(a.task, b.task);
-            assert_eq!(a.vm, b.vm);
-            assert_eq!(a.predicted_score.to_bits(), b.predicted_score.to_bits());
-        }
     }
 
     #[test]

@@ -75,7 +75,10 @@ impl DispatchPolicy {
 
     /// Runs the scheduler over (at most) its queue window. Window tasks
     /// the scheduler leaves unassigned return to the front of the queue
-    /// in their original order.
+    /// in the order the scheduler left them. FIFO, MIOS and MIX keep
+    /// arrival order. MIBS does not: it removes each placed task with
+    /// `swap_remove`, which moves the window's last task into the gap, so
+    /// its leftovers come back permuted.
     pub fn dispatch(
         &self,
         scheduler: &mut dyn Scheduler,

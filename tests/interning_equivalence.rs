@@ -17,7 +17,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use tracon::core::characteristics::N_JOINT;
 use tracon::core::{
     AppModelSet, AppProfile, Assignment, Characteristics, ClusterState, Fifo, InterferenceModel,
-    Mibs, Mios, Mix, ModelKind, Objective, Predictor, Scheduler, ScoringPolicy, Task, VmRef,
+    Mibs, Mios, Mix, ModelKind, Objective, Predictor, Resident, Scheduler, ScoringPolicy, Task,
+    VmRef,
 };
 use tracon::stats::prop;
 
@@ -471,11 +472,15 @@ fn assert_streams_equal(kind: &str, real: &[Assignment], reference: &[RefAssignm
     }
 }
 
+/// Runs every scheduler and its reference on the same window. `prefill`
+/// lists residents `(slot, app pick)` placed on both clusters before
+/// scheduling; an empty slice starts from an idle cluster.
 fn check_all_schedulers(
     n_machines: usize,
     slots: usize,
     n_apps: usize,
     picks: &[usize],
+    prefill: &[(VmRef, usize)],
     objective: Objective,
 ) {
     let (predictor, chars) = world(n_apps);
@@ -483,7 +488,10 @@ fn check_all_schedulers(
         let c = ClusterState::new(n_machines, slots, chars.clone());
         c.registry().clone()
     };
-    let names: Vec<String> = picks.iter().map(|p| format!("app{}", p % n_apps)).collect();
+    let app_name = |p: usize| format!("app{}", p % n_apps);
+    let names: Vec<String> = picks.iter().map(|&p| app_name(p)).collect();
+    // Resident ids start above every window task id.
+    let prefill_id = |i: usize| (picks.len() + i) as u64;
 
     type RefSched =
         fn(&mut VecDeque<RefTask>, &mut RefCluster, &RefScoring<'_>) -> Vec<RefAssignment>;
@@ -498,6 +506,15 @@ fn check_all_schedulers(
     for (kind, mut real_sched, ref_sched) in cases {
         let scoring = ScoringPolicy::new(&predictor, objective);
         let mut cluster = ClusterState::new(n_machines, slots, chars.clone());
+        for (i, &(vm, p)) in prefill.iter().enumerate() {
+            cluster.place(
+                vm,
+                Resident {
+                    task_id: prefill_id(i),
+                    app: registry.expect_id(&app_name(p)),
+                },
+            );
+        }
         let mut queue: VecDeque<Task> = names
             .iter()
             .enumerate()
@@ -507,6 +524,15 @@ fn check_all_schedulers(
 
         let ref_scoring = RefScoring::new(&predictor, objective);
         let mut ref_cluster = RefCluster::new(n_machines, slots, chars.clone());
+        for (i, &(vm, p)) in prefill.iter().enumerate() {
+            ref_cluster.place(
+                vm,
+                RefTask {
+                    id: prefill_id(i),
+                    app: app_name(p),
+                },
+            );
+        }
         let mut ref_queue: VecDeque<RefTask> = names
             .iter()
             .enumerate()
@@ -539,7 +565,7 @@ fn interned_schedulers_match_string_reference() {
         } else {
             Objective::MinRuntime
         };
-        check_all_schedulers(n_machines, 2, n_apps, &picks, objective);
+        check_all_schedulers(n_machines, 2, n_apps, &picks, &[], objective);
     });
 }
 
@@ -555,7 +581,41 @@ fn interned_schedulers_match_reference_three_slots() {
             let n_machines = rng.gen_range(1usize..4);
             let n_apps = rng.gen_range(1usize..4);
             let picks = prop::vec(rng, 0..10, |rng| rng.gen_range(0usize..4));
-            check_all_schedulers(n_machines, 3, n_apps, &picks, Objective::MinRuntime);
+            check_all_schedulers(n_machines, 3, n_apps, &picks, &[], Objective::MinRuntime);
+        },
+    );
+}
+
+/// The same equivalence on clusters of 32-1100 machines that already
+/// carry residents, so every scheduler sees a mix of idle, half-full and
+/// full machines, and, when the prefill is dense, runs out of slots
+/// mid-window. Picks come from at most three apps, so windows hold runs
+/// of one app: the reference MIX evaluates every head, which pins MIX's
+/// skip of a head whose app repeats the previous head's.
+#[test]
+fn interned_schedulers_match_reference_prefilled_large_clusters() {
+    prop::check(
+        "interned_schedulers_match_reference_prefilled_large_clusters",
+        48,
+        |rng| {
+            let n_machines = rng.gen_range(32usize..1101);
+            let n_apps = rng.gen_range(1usize..4);
+            let objective = if rng.gen::<bool>() {
+                Objective::MaxIops
+            } else {
+                Objective::MinRuntime
+            };
+            let picks = prop::vec(rng, 0..17, |rng| rng.gen_range(0usize..3));
+            let fill: f64 = rng.gen_range(0.0..1.0);
+            let mut prefill = Vec::new();
+            for machine in 0..n_machines {
+                for slot in 0..2 {
+                    if rng.gen_bool(fill) {
+                        prefill.push((VmRef { machine, slot }, rng.gen_range(0usize..3)));
+                    }
+                }
+            }
+            check_all_schedulers(n_machines, 2, n_apps, &picks, &prefill, objective);
         },
     );
 }
