@@ -1,367 +1,12 @@
-//! Follower-side replication: the pure pull/lease state machine
-//! ([`FollowerCore`]) and the thread that drives it against a live
-//! leader ([`run_follower`]), including automatic promotion.
-//!
-//! The core is deliberately free of clocks, sockets, and files — time is
-//! a `u64` of caller-supplied milliseconds and replies arrive as decoded
-//! chunks — so the deterministic [`crate::repl::sim`] harness and the
-//! real thread run the exact same election/lease logic.
+//! The follower's WAL side of replication: applying one pulled chunk
+//! (`apply_chunk`) to a shard log, which the daemon's replication
+//! thread performs for each `Output::Apply` its replication state
+//! machine (`super::node`) asks for.
 
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::Ordering;
 
-use tracon_core::AppId;
-
-use crate::client::Client;
-use crate::json::Value;
-use crate::proto::{ErrorKind, Reply, Request};
-use crate::reactor::ShardMsg;
-use crate::repl::{decode_pull_chunk, write_sidecar, EpochSidecar, ReplState, Role};
-use crate::shard::{recover_dir, route_app, HomedTask};
+use crate::metrics::Metrics;
 use crate::wal::{self, Recovery, Wal};
-
-/// Static configuration for a follower node.
-#[derive(Debug, Clone)]
-pub struct FollowerConfig {
-    /// The leader's protocol address (`--replica-of`).
-    pub leader_addr: String,
-    /// This node's own protocol address, echoed in pulls and used as the
-    /// redirect target once promoted.
-    pub self_addr: String,
-    /// WAL directory (shard logs + `repl.epoch` sidecar).
-    pub dir: PathBuf,
-    /// Shard count (must match the leader's).
-    pub shards: usize,
-    /// Snapshot cadence handed to promoted WAL handles.
-    pub snapshot_every: u64,
-    /// Lease TTL: no successful pull for this long promotes the follower.
-    pub ttl_ms: u64,
-    /// Pull cadence.
-    pub poll_ms: u64,
-}
-
-/// What the caller should do with one decoded pull reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkAction {
-    /// Install the snapshot (if any) and append the frames.
-    Apply {
-        /// The leader's epoch advanced; persist it before applying.
-        epoch_changed: bool,
-    },
-    /// The leader rebooted (boot nonce changed): cursors were reset to
-    /// zero, discard this chunk and re-pull from scratch.
-    Reset,
-    /// Reply from an older epoch than one already observed; discard.
-    Stale,
-}
-
-/// The pure follower state machine: epoch tracking, per-shard cursors,
-/// and the leader lease.
-#[derive(Debug)]
-pub struct FollowerCore {
-    epoch: u64,
-    cursors: Vec<u64>,
-    /// Boot nonce of the leader incarnation the cursors refer to.
-    boot: Option<u64>,
-    last_contact_ms: u64,
-    ttl_ms: u64,
-    /// At least one pull succeeded. A follower that never reached the
-    /// leader may not promote: promotion safety rests on the claimed
-    /// epoch exceeding the leader's, which requires having observed it.
-    synced: bool,
-}
-
-impl FollowerCore {
-    /// A fresh follower at `epoch` (its durable sidecar value; 0 for a
-    /// brand-new node) whose lease clock starts at `now_ms`.
-    pub fn new(shards: usize, epoch: u64, ttl_ms: u64, now_ms: u64) -> FollowerCore {
-        FollowerCore {
-            epoch,
-            cursors: vec![0; shards.max(1)],
-            boot: None,
-            last_contact_ms: now_ms,
-            ttl_ms,
-            synced: false,
-        }
-    }
-
-    /// Last observed leader epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// One shard's pull cursor.
-    pub fn cursor(&self, shard: usize) -> u64 {
-        self.cursors.get(shard).copied().unwrap_or(0)
-    }
-
-    /// Send one shard's cursor home. Cursor 0 is always behind the
-    /// leader's compaction horizon (the ship base never stays at 0), so
-    /// the next pull answers with a full snapshot install — the scrub
-    /// repair path uses exactly this to re-pull a quarantined shard.
-    pub fn reset_cursor(&mut self, shard: usize) {
-        if let Some(cursor) = self.cursors.get_mut(shard) {
-            *cursor = 0;
-        }
-    }
-
-    /// Whether a successful pull has ever happened.
-    pub fn synced(&self) -> bool {
-        self.synced
-    }
-
-    /// Build the next pull request for `shard`. The request advertises
-    /// this follower's promotion TTL so the leader's write-suspension
-    /// clock runs at least as fast as the promotion clock.
-    pub fn pull_request(&self, shard: usize, self_addr: &str) -> Request {
-        Request::ReplPull {
-            epoch: self.epoch,
-            shard,
-            cursor: self.cursor(shard),
-            addr: self_addr.to_string(),
-            ttl_ms: self.ttl_ms,
-        }
-    }
-
-    /// Digest one pull reply's header; mutates cursor/epoch/lease state
-    /// and says what to do with the chunk body.
-    pub fn on_chunk(
-        &mut self,
-        shard: usize,
-        leader_epoch: u64,
-        leader_boot: u64,
-        next: u64,
-        now_ms: u64,
-    ) -> ChunkAction {
-        if leader_epoch < self.epoch {
-            return ChunkAction::Stale;
-        }
-        let epoch_changed = leader_epoch > self.epoch;
-        let rebooted = self.boot.is_some_and(|b| b != leader_boot);
-        self.boot = Some(leader_boot);
-        self.epoch = leader_epoch;
-        self.last_contact_ms = now_ms;
-        self.synced = true;
-        if rebooted {
-            // Ship sequence numbers restart with the leader process;
-            // cursors from the previous incarnation are meaningless.
-            for cursor in &mut self.cursors {
-                *cursor = 0;
-            }
-            return ChunkAction::Reset;
-        }
-        if let Some(cursor) = self.cursors.get_mut(shard) {
-            *cursor = next;
-        }
-        ChunkAction::Apply { epoch_changed }
-    }
-
-    /// The leader's lease has lapsed: synced at least once and silent
-    /// for the TTL.
-    pub fn lease_lapsed(&self, now_ms: u64) -> bool {
-        self.synced && now_ms.saturating_sub(self.last_contact_ms) >= self.ttl_ms
-    }
-
-    /// The epoch this node would claim on promotion: strictly greater
-    /// than every epoch the old leader served at (it cannot have served
-    /// at a higher one without this follower or its successor observing
-    /// it — epochs only change on promotions, which are durably claimed
-    /// before serving).
-    pub fn claim_epoch(&self) -> u64 {
-        self.epoch + 1
-    }
-}
-
-/// Everything the follower thread borrows from the daemon.
-pub(crate) struct FollowerRuntime {
-    /// The follower's open WAL handles (one per shard); surrendered to
-    /// the shard workers at promotion.
-    pub wals: Vec<Wal>,
-    /// Shared replication state.
-    pub repl: Arc<ReplState>,
-    /// Per-shard worker channels (for `ShardMsg::Promote`).
-    pub shard_txs: Vec<Sender<ShardMsg>>,
-    /// Profiled app name -> id, for recovery routing at promotion.
-    pub app_ids: HashMap<String, AppId>,
-    /// Daemon-wide shutdown flag.
-    pub shutdown: Arc<AtomicBool>,
-}
-
-/// How often the follower re-walks its sealed WAL regions for bit rot.
-const SCRUB_INTERVAL_MS: u64 = 500;
-
-/// The follower replication thread: pull every shard each poll round,
-/// append/install locally, scrub the local WAL for rot (repairing by
-/// re-pulling the affected shard from the leader), and promote when the
-/// leader's lease lapses. Returns when the daemon shuts down or after a
-/// successful promotion; if the promoted leader is later fenced, the
-/// daemon's rejoin supervisor demotes it back into this loop.
-pub(crate) fn run_follower(cfg: FollowerConfig, rt: FollowerRuntime) {
-    let FollowerRuntime {
-        wals,
-        repl,
-        shard_txs,
-        app_ids,
-        shutdown,
-    } = rt;
-    let start = Instant::now();
-    let mut core = FollowerCore::new(cfg.shards, repl.epoch(), cfg.ttl_ms.max(1), 0);
-    let mut wals = wals;
-    // Per-shard materialized mirror of the shipped stream (snapshot +
-    // frames applied in order): what lets a caught-up follower compact
-    // its own WAL instead of growing it for the life of the pair.
-    let mut mirrors: Vec<Recovery> = wals.iter().map(|_| Recovery::default()).collect();
-    // Shards whose local WAL was quarantined by a scrub and are waiting
-    // for the snapshot re-install that completes the repair.
-    let mut pending_repair: Vec<bool> = vec![false; wals.len()];
-    let mut last_scrub_ms = 0u64;
-    let mut leader = cfg.leader_addr.clone();
-    let mut client: Option<Client> = None;
-    let connect_timeout = Duration::from_millis(cfg.ttl_ms.clamp(100, 2_000));
-
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = start.elapsed().as_millis() as u64;
-        if core.lease_lapsed(now) {
-            promote(
-                &cfg, &core, wals, &repl, &shard_txs, &app_ids, &shutdown, &leader,
-            );
-            return;
-        }
-        if now.saturating_sub(last_scrub_ms) >= SCRUB_INTERVAL_MS {
-            last_scrub_ms = now;
-            scrub_pass(&cfg, &repl, &mut core, &mut mirrors, &mut pending_repair);
-        }
-
-        if client.is_none() {
-            client = Client::connect_with_timeout(&leader, connect_timeout).ok();
-        }
-        if let Some(conn) = client.as_mut() {
-            let mut round_lag = 0u64;
-            let mut drop_conn = false;
-            for (shard, wal) in wals.iter_mut().enumerate() {
-                let before = core.epoch();
-                match conn.request(core.pull_request(shard, &cfg.self_addr)) {
-                    Ok(Reply::Ok { result, .. }) => {
-                        let Some((epoch, boot, rshard, chunk)) = decode_pull_chunk(&result) else {
-                            drop_conn = true;
-                            break;
-                        };
-                        if rshard != shard {
-                            drop_conn = true;
-                            break;
-                        }
-                        let now = start.elapsed().as_millis() as u64;
-                        match core.on_chunk(shard, epoch, boot, chunk.next, now) {
-                            ChunkAction::Apply { .. } => {
-                                if core.epoch() != before {
-                                    persist_epoch(&cfg.dir, core.epoch(), &leader, &repl);
-                                }
-                                let installed =
-                                    apply_chunk(wal, &mut mirrors[shard], &chunk, shard, &repl);
-                                if pending_repair[shard] {
-                                    if installed {
-                                        // The quarantined shard now holds
-                                        // the leader's authoritative
-                                        // snapshot: repair complete.
-                                        pending_repair[shard] = false;
-                                        let metrics = repl.metrics();
-                                        metrics.scrub_repaired.fetch_add(1, Ordering::Relaxed);
-                                        if !pending_repair.iter().any(|p| *p) {
-                                            metrics.wal_degraded.store(0, Ordering::Relaxed);
-                                        }
-                                        eprintln!(
-                                            "tracond event=scrub_repaired shard={shard} \
-                                             source=\"peer snapshot install\""
-                                        );
-                                    } else if chunk.snapshot.is_some() {
-                                        // The install itself failed; go
-                                        // back to the snapshot path.
-                                        core.reset_cursor(shard);
-                                    }
-                                }
-                                round_lag =
-                                    round_lag.max(chunk.ship_next.saturating_sub(chunk.next));
-                            }
-                            ChunkAction::Reset => {
-                                if core.epoch() != before {
-                                    persist_epoch(&cfg.dir, core.epoch(), &leader, &repl);
-                                }
-                                // Cursors went back to zero; the next
-                                // round re-pulls from the snapshot.
-                            }
-                            ChunkAction::Stale => {}
-                        }
-                    }
-                    Ok(Reply::Error {
-                        kind: ErrorKind::NotLeader,
-                        leader: hint,
-                        ..
-                    }) => {
-                        // The node we poll is itself fenced or following;
-                        // chase the hint (never ourselves).
-                        if let Some(hint) = hint {
-                            if let Some(addr) = hint.leader_addr {
-                                if addr != cfg.self_addr {
-                                    leader = addr;
-                                    repl.set_leader_addr(Some(leader.clone()));
-                                }
-                            }
-                        }
-                        drop_conn = true;
-                        break;
-                    }
-                    Ok(_) | Err(_) => {
-                        drop_conn = true;
-                        break;
-                    }
-                }
-            }
-            if drop_conn {
-                client = None;
-            } else {
-                repl.metrics()
-                    .repl_lag_frames
-                    .store(round_lag, Ordering::Relaxed);
-            }
-        }
-
-        // Sleep one poll interval in small slices so shutdown stays snappy.
-        let mut slept = 0u64;
-        let poll = cfg.poll_ms.max(1);
-        while slept < poll {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let step = (poll - slept).min(25);
-            std::thread::sleep(Duration::from_millis(step));
-            slept += step;
-        }
-    }
-}
-
-/// Durably record an observed epoch, along with the leader we are
-/// following (the boot-time probe target if this node restarts without
-/// `--replica-of`). A failure is counted but not fatal for a *follower*
-/// (promotion, by contrast, refuses to proceed).
-fn persist_epoch(dir: &Path, epoch: u64, leader: &str, repl: &Arc<ReplState>) {
-    let sidecar = EpochSidecar {
-        epoch,
-        role: Role::Follower,
-        leader: Some(leader.to_string()),
-        peer: None,
-    };
-    if write_sidecar(dir, &sidecar).is_err() {
-        repl.metrics().wal_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    repl.observe_epoch(epoch);
-}
 
 /// Install the snapshot (if any) and append the frames to one shard WAL,
 /// mirroring the leader-side counters. The materialized `mirror` tracks
@@ -372,14 +17,13 @@ fn persist_epoch(dir: &Path, epoch: u64, leader: &str, repl: &Arc<ReplState>) {
 ///
 /// Returns `true` when the chunk carried a snapshot blob and it was
 /// installed successfully (the signal the scrub-repair path waits on).
-fn apply_chunk(
+pub(crate) fn apply_chunk(
     wal: &mut Wal,
     mirror: &mut Recovery,
     chunk: &crate::repl::PullChunk,
     shard: usize,
-    repl: &Arc<ReplState>,
+    metrics: &Metrics,
 ) -> bool {
-    let metrics = repl.metrics();
     let mut installed = false;
     if let Some(blob) = &chunk.snapshot {
         let injected = crate::failpoint::armed()
@@ -414,15 +58,8 @@ fn apply_chunk(
         }
     }
     if wal.snapshot_due() {
-        let next = mirror
-            .tasks
-            .iter()
-            .map(|t| t.task + 1)
-            .max()
-            .unwrap_or(0)
-            .max(mirror.next_task_id);
-        mirror.next_task_id = next;
-        if wal.snapshot(&mirror.tasks, next).is_ok() {
+        mirror.settle_next_task_id();
+        if wal.snapshot(&mirror.tasks, mirror.next_task_id).is_ok() {
             metrics.wal_snapshots.fetch_add(1, Ordering::Relaxed);
         } else {
             metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
@@ -431,276 +68,21 @@ fn apply_chunk(
     installed
 }
 
-/// One scrub pass over every shard's sealed WAL region. A shard with rot
-/// (mid-file CRC mismatch, implausible frame length, or an unparseable
-/// snapshot) is quarantined on the spot — the log is truncated at the
-/// corrupt offset — and queued for repair: the materialized mirror and
-/// the pull cursor both reset so the next pull re-installs the leader's
-/// authoritative snapshot wholesale. The live `Wal` handle stays valid
-/// across the truncation because its fd is `O_APPEND`: the next append
-/// lands at the new (clean-boundary) end of file.
-fn scrub_pass(
-    cfg: &FollowerConfig,
-    repl: &Arc<ReplState>,
-    core: &mut FollowerCore,
-    mirrors: &mut [Recovery],
-    pending_repair: &mut [bool],
-) {
-    let metrics = repl.metrics();
-    metrics.scrub_runs.fetch_add(1, Ordering::Relaxed);
-    for shard in 0..mirrors.len() {
-        let Ok(report) = wal::scrub_shard(&cfg.dir, shard) else {
-            continue;
-        };
-        if report.clean() {
-            continue;
-        }
-        if let Some(at) = report.corrupt_at {
-            let _ = wal::quarantine_shard(&cfg.dir, shard, at);
-        }
-        mirrors[shard] = Recovery::default();
-        core.reset_cursor(shard);
-        if !pending_repair[shard] {
-            // First detection for this shard: count it and raise the
-            // degraded gauge. A corrupt *snapshot* keeps scrubbing dirty
-            // until the re-install overwrites it — gate the counters on
-            // the repair flag so one incident is one increment.
-            pending_repair[shard] = true;
-            metrics
-                .scrub_corrupt_frames
-                .fetch_add(report.corrupt_count(), Ordering::Relaxed);
-            metrics.wal_degraded.store(1, Ordering::Relaxed);
-            eprintln!(
-                "tracond event=scrub_corrupt shard={shard} frames_ok={} quarantined_bytes={} \
-                 snapshot_corrupt={} action=\"re-pull from leader\"",
-                report.frames_ok, report.quarantined_bytes, report.snapshot_corrupt
-            );
-        }
-    }
-}
-
-/// Take over: durably claim `epoch+1`, replay the shipped WALs through
-/// merged recovery, hand every shard worker its state and WAL handle,
-/// flip the shared role to leader (last, with Release ordering), and
-/// best-effort fence the old leader.
-#[allow(clippy::too_many_arguments)]
-fn promote(
-    cfg: &FollowerConfig,
-    core: &FollowerCore,
-    wals: Vec<Wal>,
-    repl: &Arc<ReplState>,
-    shard_txs: &[Sender<ShardMsg>],
-    app_ids: &HashMap<String, AppId>,
-    shutdown: &Arc<AtomicBool>,
-    old_leader: &str,
-) {
-    let new_epoch = core.claim_epoch();
-    // Release the file handles before recovery reopens them.
-    drop(wals);
-    let shards = cfg.shards;
-    let route = |name: &str| app_ids.get(name).map(|&id| route_app(id, shards));
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // The epoch claim must be durable BEFORE any request is served
-        // under it: a power cut between promotion and the first serve
-        // must come back as (at least) this epoch, or a concurrently
-        // promoted peer could be outranked by our zombie. The deposed
-        // leader goes in as the peer so a reboot of THIS node probes it
-        // before re-claiming.
-        let claim = EpochSidecar {
-            epoch: new_epoch,
-            role: Role::Leader,
-            leader: Some(cfg.self_addr.clone()),
-            peer: Some(old_leader.to_string()),
-        };
-        if write_sidecar(&cfg.dir, &claim).is_err() {
-            repl.metrics().wal_errors.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(100));
-            continue;
-        }
-        let recovered = recover_dir(&cfg.dir, shards, cfg.snapshot_every, &route);
-        let (new_wals, recovery) = match recovered {
-            Ok(pair) => pair,
-            Err(_) => {
-                repl.metrics().wal_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(100));
-                continue;
-            }
-        };
-        repl.metrics()
-            .wal_replayed_records
-            .fetch_add(recovery.replayed_records, Ordering::Relaxed);
-        for (shard, wal) in new_wals.into_iter().enumerate() {
-            let tasks: Vec<HomedTask> = recovery
-                .tasks
-                .iter()
-                .filter(|t| t.home == shard)
-                .cloned()
-                .collect();
-            let _ = shard_txs[shard].send(ShardMsg::Promote {
-                wal,
-                tasks,
-                next_task_id: recovery.next_task_id,
-            });
-        }
-        // Role flip last: a reactor that observes Leader (Acquire) is
-        // guaranteed the Promote messages are already in each shard's
-        // FIFO ahead of any request it routes afterwards.
-        repl.promote(new_epoch, Some(cfg.self_addr.clone()));
-        repl.set_peer(Some(old_leader.to_string()));
-        repl.metrics().repl_lag_frames.store(0, Ordering::Relaxed);
-        // Fence the predecessor. Safety does not depend on this
-        // arriving — the old leader suspends its own writes once our
-        // pulls stop, fences on any higher-epoch pull, and probes us at
-        // its next boot — but an acknowledged fence converges client
-        // redirects in one round trip instead of a TTL.
-        fence_predecessor(old_leader, new_epoch, &cfg.self_addr, cfg.ttl_ms, shutdown);
-        return;
-    }
-}
-
-/// How many times a freshly promoted leader re-sends its `repl_lease`
-/// to the predecessor before giving up (the boot-time probe covers a
-/// predecessor that is down for longer than this).
-const FENCE_ATTEMPTS: u32 = 8;
-
-/// Re-send `repl_lease` to the deposed leader, spaced about one TTL
-/// apart, until it acknowledges being outranked or the attempts run
-/// out. Bounded on purpose: the predecessor's port may be reassigned to
-/// an unrelated process after it dies, so this must not retry forever.
-fn fence_predecessor(
-    old_leader: &str,
-    epoch: u64,
-    self_addr: &str,
-    ttl_ms: u64,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let pause_ms = ttl_ms.clamp(100, 2_000);
-    for attempt in 0..FENCE_ATTEMPTS {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if let Ok(mut conn) = Client::connect_with_timeout(old_leader, Duration::from_millis(500)) {
-            if let Ok(Reply::Ok { result, .. }) = conn.request(Request::ReplLease {
-                epoch,
-                leader_addr: self_addr.to_string(),
-            }) {
-                if lease_acknowledged(&result, epoch) {
-                    return;
-                }
-            }
-        }
-        if attempt + 1 == FENCE_ATTEMPTS {
-            return;
-        }
-        // Sleep in slices so daemon shutdown is never held up by this.
-        let mut slept = 0u64;
-        while slept < pause_ms {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let step = (pause_ms - slept).min(25);
-            std::thread::sleep(Duration::from_millis(step));
-            slept += step;
-        }
-    }
-}
-
-/// Whether a `repl_lease` reply proves the receiver stepped down: it
-/// reports at least the claimed epoch under a non-leader role. Anything
-/// else (older epoch, still "leader", malformed) means the fence has
-/// not landed.
-fn lease_acknowledged(result: &Value, claimed: u64) -> bool {
-    let epoch_ok = result
-        .get("epoch")
-        .and_then(Value::as_u64)
-        .is_some_and(|epoch| epoch >= claimed);
-    let stepped_down = result
-        .get("role")
-        .and_then(Value::as_str)
-        .is_some_and(|role| role != Role::Leader.as_str());
-    epoch_ok && stepped_down
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn lease_renews_on_chunks_and_lapses_when_silent() {
-        let mut core = FollowerCore::new(1, 0, 100, 0);
-        // Never synced: silence alone must NOT promote.
-        assert!(!core.lease_lapsed(10_000));
-        // First contact observes epoch 1 (we booted at 0): persist it.
-        assert_eq!(
-            core.on_chunk(0, 1, 7, 5, 50),
-            ChunkAction::Apply {
-                epoch_changed: true
-            }
-        );
-        assert_eq!(core.cursor(0), 5);
-        assert!(!core.lease_lapsed(149));
-        assert!(core.lease_lapsed(150));
-        assert_eq!(
-            core.on_chunk(0, 1, 7, 9, 200),
-            ChunkAction::Apply {
-                epoch_changed: false
-            }
-        );
-        assert!(!core.lease_lapsed(299));
-        assert_eq!(core.claim_epoch(), 2);
-    }
-
-    #[test]
-    fn older_epochs_are_dropped() {
-        let mut core = FollowerCore::new(1, 5, 100, 0);
-        assert_eq!(core.on_chunk(0, 4, 7, 9, 10), ChunkAction::Stale);
-        assert_eq!(core.cursor(0), 0, "stale chunk must not move the cursor");
-        assert!(!core.synced(), "stale contact must not arm the lease");
-    }
-
-    #[test]
-    fn lease_ack_requires_the_claimed_epoch_and_a_stepped_down_role() {
-        let ok = crate::json::parse(r#"{"epoch":5,"role":"fenced"}"#).unwrap();
-        assert!(lease_acknowledged(&ok, 5));
-        assert!(lease_acknowledged(&ok, 4));
-        // Higher epoch than claimed still acks (someone outranked us too,
-        // but the predecessor is certainly not serving at OUR epoch).
-        let higher = crate::json::parse(r#"{"epoch":9,"role":"follower"}"#).unwrap();
-        assert!(lease_acknowledged(&higher, 5));
-        // Still leading, older epoch, or malformed: not acknowledged.
-        let leading = crate::json::parse(r#"{"epoch":5,"role":"leader"}"#).unwrap();
-        assert!(!lease_acknowledged(&leading, 5));
-        let stale = crate::json::parse(r#"{"epoch":4,"role":"fenced"}"#).unwrap();
-        assert!(!lease_acknowledged(&stale, 5));
-        let junk = crate::json::parse(r#"{"ok":true}"#).unwrap();
-        assert!(!lease_acknowledged(&junk, 1));
-    }
-
-    /// REVIEW fix: a caught-up follower must compact its own WAL instead
-    /// of appending forever — the mirror replay must produce a snapshot
-    /// that a later recovery agrees with.
+    /// A caught-up follower compacts its own WAL instead of appending
+    /// forever, and the mirror's snapshot agrees with a later recovery.
     #[test]
     fn a_caught_up_follower_compacts_its_wal_locally() {
-        use crate::metrics::Metrics;
-        use crate::repl::{PullChunk, ShipLog};
+        use crate::repl::PullChunk;
         use crate::wal::WalRecord;
 
         let dir =
             std::env::temp_dir().join(format!("tracon-follower-compact-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let metrics = Arc::new(Metrics::new());
-        let repl = Arc::new(ReplState::new(
-            Role::Follower,
-            1,
-            None,
-            Arc::new(ShipLog::new(1)),
-            Arc::clone(&metrics),
-            Some(dir.clone()),
-            1,
-        ));
+        let metrics = Metrics::new();
         let (mut wal, _) = Wal::open_shard(&dir, 0, 4).unwrap();
         let mut mirror = Recovery::default();
 
@@ -719,7 +101,7 @@ mod tests {
                 next: (task + 1) * 2,
                 ship_next: (task + 1) * 2,
             };
-            apply_chunk(&mut wal, &mut mirror, &chunk, 0, &repl);
+            apply_chunk(&mut wal, &mut mirror, &chunk, 0, &metrics);
         }
         assert!(
             metrics.wal_snapshots.load(Ordering::Relaxed) >= 1,
@@ -742,25 +124,5 @@ mod tests {
             recovered.replayed_records
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn leader_reboot_resets_cursors() {
-        let mut core = FollowerCore::new(2, 0, 100, 0);
-        core.on_chunk(0, 1, 7, 40, 10);
-        core.on_chunk(1, 1, 7, 12, 10);
-        assert_eq!((core.cursor(0), core.cursor(1)), (40, 12));
-        // Same epoch, new boot nonce: a restarted leader whose ship
-        // numbering restarted — both cursors go home.
-        assert_eq!(core.on_chunk(0, 1, 8, 3, 20), ChunkAction::Reset);
-        assert_eq!((core.cursor(0), core.cursor(1)), (0, 0));
-        // And the next chunk from the new incarnation applies normally.
-        assert_eq!(
-            core.on_chunk(0, 1, 8, 3, 30),
-            ChunkAction::Apply {
-                epoch_changed: false
-            }
-        );
-        assert_eq!(core.cursor(0), 3);
     }
 }

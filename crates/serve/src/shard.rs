@@ -117,6 +117,29 @@ pub struct MergedRecovery {
     pub old_shards: usize,
 }
 
+/// Wipe every shard file in `dir` (the `repl.epoch` sidecar survives)
+/// and open fresh logs for `shards` shards: a follower's local state is
+/// a cache of its leader's stream, and a divergent tail must not
+/// resurrect, so it resyncs from cursor zero.
+pub fn wipe_shards(dir: &Path, shards: usize, snapshot_every: u64) -> io::Result<Vec<Wal>> {
+    // A first recovery folds any legacy single-log layout into shard files.
+    let old_shards = recover_dir(dir, shards, snapshot_every, &|_| None)?
+        .1
+        .old_shards;
+    for shard in 0..old_shards.max(shards) {
+        crate::wal::remove_shard_files(dir, shard)?;
+    }
+    Ok(recover_dir(dir, shards, snapshot_every, &|_| None)?.0)
+}
+
+impl MergedRecovery {
+    /// The recovered records homed to `shard`.
+    pub fn homed(&self, shard: usize) -> Vec<RecoveredTask> {
+        let homed = self.tasks.iter().filter(|t| t.home == shard);
+        homed.map(|t| t.rec.clone()).collect()
+    }
+}
+
 /// Replays all shard WALs in `dir`, merges them per task id, and returns
 /// open WAL handles for shards `0..shards` plus the homed task set.
 ///

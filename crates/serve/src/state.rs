@@ -374,7 +374,6 @@ pub struct Service {
     /// here and hit the disk as one fsync'd batch when the enclosing
     /// [`Service::wal_transaction`] commits.
     wal_txn: Option<Vec<WalRecord>>,
-    rebuild_fail_injections: u32,
     /// Replication ship log: every group-committed batch is also pushed
     /// here for followers to pull (`None` when replication is off).
     shipper: Option<Arc<crate::repl::ShipLog>>,
@@ -464,7 +463,6 @@ impl Service {
             migrated_out: HashMap::new(),
             wal: None,
             wal_txn: None,
-            rebuild_fail_injections: 0,
             shipper: None,
             metrics,
             cfg,
@@ -481,10 +479,24 @@ impl Service {
         self.machine_base
     }
 
-    /// Attach an already-opened WAL (the sharded daemon opens all WALs up
-    /// front through [`crate::shard::recover_dir`]).
-    pub fn attach_wal(&mut self, wal: Wal) {
-        self.wal = Some(wal);
+    /// Take over recovered state — at boot, at a follower's promotion, or
+    /// in a harness: attach the WAL (when there is one), adopt the tasks,
+    /// move task ids past `next_task_id`, and compact into a fresh
+    /// snapshot, which also seeds the ship log so a follower at cursor
+    /// zero installs it.
+    pub fn restore(
+        &mut self,
+        wal: Option<Wal>,
+        tasks: &[RecoveredTask],
+        next_task_id: u64,
+        now: Instant,
+    ) {
+        if wal.is_some() {
+            self.wal = wal;
+        }
+        self.adopt_recovered(tasks, now);
+        self.align_next_task_id(next_task_id);
+        self.write_snapshot();
     }
 
     /// Attach the replication ship log; from here on every WAL batch this
@@ -519,13 +531,10 @@ impl Service {
         let mut svc = Service::new(testbed, cfg, metrics);
         if let Some(dir) = wal_dir {
             let (wal, recovery) = Wal::open(&dir, svc.cfg.wal_snapshot_every)?;
-            svc.wal = Some(wal);
             svc.metrics
                 .wal_replayed_records
                 .store(recovery.replayed_records, Ordering::Relaxed);
-            svc.adopt_recovered(&recovery.tasks, now);
-            svc.align_next_task_id(recovery.next_task_id);
-            svc.write_snapshot();
+            svc.restore(Some(wal), &recovery.tasks, recovery.next_task_id, now);
         }
         Ok(svc)
     }
@@ -534,7 +543,7 @@ impl Service {
     /// Tasks leased at crash time are requeued with the interrupted
     /// attempt counted; donor tombstones are adopted as queued (the
     /// merged recovery only hands one here when no live record survived).
-    pub fn adopt_recovered(&mut self, tasks: &[RecoveredTask], now: Instant) {
+    fn adopt_recovered(&mut self, tasks: &[RecoveredTask], now: Instant) {
         for t in tasks {
             // A task whose application is no longer profiled cannot be
             // re-placed; drop it rather than wedge the queue.
@@ -604,7 +613,7 @@ impl Service {
     /// Advance `next_task_id` to the smallest unissued id that is both
     /// `>= global_next` and on this shard's stride, so ids are never
     /// reused across restarts or shard-count changes.
-    pub fn align_next_task_id(&mut self, global_next: u64) {
+    fn align_next_task_id(&mut self, global_next: u64) {
         let mut id = self.next_task_id;
         if global_next > id {
             id += (global_next - id).div_ceil(self.id_step) * self.id_step;
@@ -715,8 +724,8 @@ impl Service {
     /// admission state. The self-healing rejoin path demotes a fenced
     /// ex-leader's workers before the node wipes its shard files and
     /// resyncs from the live leader; a later `ShardMsg::Promote` rebuilds
-    /// everything from the recovered WAL via
-    /// [`Service::adopt_recovered`], which assumes a blank table. The
+    /// everything from the recovered WAL via [`Service::restore`], which
+    /// assumes a blank table. The
     /// shipper Arc is deliberately kept: a re-promotion must be able to
     /// ship to the *next* follower, and an idle follower never pushes.
     pub fn demote(&mut self) {
@@ -1135,21 +1144,26 @@ impl Service {
         self.completed += 1;
         self.metrics.completions.fetch_add(1, Ordering::Relaxed);
         self.wal_append(&WalRecord::Complete { task, runtime });
-        let inject = self.rebuild_fail_injections > 0;
-        let observer = &mut self.observer;
+        let (observer, metrics) = (&mut self.observer, &self.metrics);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let rebuilt = observer.record(app_idx, neighbor, runtime, iops);
-            if inject && rebuilt {
-                panic!("injected rebuild failure");
+            // Failpoint: the rebuild panics, scoped to this daemon's
+            // metrics instance (`model.rebuild@<0x..>`).
+            if rebuilt
+                && crate::failpoint::armed()
+                && crate::failpoint::should_fail(
+                    "model.rebuild",
+                    &format!("<{:p}>", Arc::as_ptr(metrics)),
+                )
+                .is_some()
+            {
+                panic!("failpoint injected: model.rebuild");
             }
             rebuilt
         }));
         let rebuilt = match outcome {
             Ok(rebuilt) => rebuilt,
             Err(_) => {
-                if inject {
-                    self.rebuild_fail_injections -= 1;
-                }
                 self.metrics
                     .rebuild_failures
                     .fetch_add(1, Ordering::Relaxed);
@@ -1364,13 +1378,6 @@ impl Service {
     /// Retry hint for backpressure replies.
     pub fn retry_after_ms(&self) -> u64 {
         self.cfg.retry_after_ms
-    }
-
-    /// Test hook: make the next `n` triggered rebuilds fail, exercising
-    /// the keep-last-good-predictor degradation path.
-    #[doc(hidden)]
-    pub fn fail_next_rebuild(&mut self, n: u32) {
-        self.rebuild_fail_injections = n;
     }
 
     fn neighbor_of(&self, vm: VmRef, own_task: u64) -> Option<usize> {
@@ -1686,7 +1693,12 @@ mod tests {
         let mut svc = Service::new(&testbed, cfg, Arc::clone(&metrics));
         let now = Instant::now();
         let app = svc.observer.app_names()[0].clone();
-        svc.fail_next_rebuild(1);
+        // Scoped to this service's metrics, so no parallel test's
+        // rebuild can consume the one injection.
+        let _gate = crate::failpoint::test_gate();
+        crate::failpoint::disarm_all();
+        let spec = format!("model.rebuild@<{:p}>=err*1", Arc::as_ptr(&metrics));
+        crate::failpoint::arm(&spec).expect("spec parses");
         let mut saw_failure = false;
         let mut swaps_after_failure = 0;
         for round in 0..30 {
@@ -1703,6 +1715,7 @@ mod tests {
             }
             assert!(!done.swapped || failures == 0 || saw_failure);
         }
+        crate::failpoint::disarm_all();
         assert!(saw_failure, "injected rebuild failure never fired");
         assert_eq!(metrics.rebuild_failures.load(Ordering::Relaxed), 1);
         assert!(

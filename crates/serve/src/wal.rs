@@ -324,6 +324,15 @@ pub struct Recovery {
     pub skipped_records: u64,
 }
 
+impl Recovery {
+    /// Move `next_task_id` past every recovered task, so a replay of
+    /// frames without a covering snapshot never reissues a live id.
+    pub fn settle_next_task_id(&mut self) {
+        let max_id = self.tasks.iter().map(|t| t.task + 1).max().unwrap_or(0);
+        self.next_task_id = self.next_task_id.max(max_id);
+    }
+}
+
 /// The open write-ahead log for one shard.
 pub struct Wal {
     file: File,
@@ -550,8 +559,7 @@ impl Wal {
             file.set_len(valid_end as u64)?;
             file.sync_data()?;
         }
-        let max_id = recovery.tasks.iter().map(|t| t.task + 1).max().unwrap_or(0);
-        recovery.next_task_id = recovery.next_task_id.max(max_id);
+        recovery.settle_next_task_id();
         Ok((
             Wal {
                 file,

@@ -394,3 +394,114 @@ fn follower_promotes_with_counters_intact_when_leader_dies() {
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);
 }
+
+/// Poll `cond` every 25 ms until it holds, failing with `what` after 20 s.
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting: {what}");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
+/// The live rejoin path over real sockets: after a failover, the
+/// ex-leader restarted on its own WAL directory *without* `replica_of`
+/// must not reclaim leadership. Its boot probe finds the promoted peer
+/// and boots it fenced; it then demotes itself into the vacant follower
+/// slot and resyncs every shard through a snapshot install.
+#[test]
+fn restarted_ex_leader_boots_fenced_then_rejoins_as_follower() {
+    use std::sync::atomic::Ordering;
+
+    let testbed = tiny_testbed();
+    let app = testbed.perf.names[0].clone();
+    let leader_dir = wal_dir("rejoin-leader");
+    let follower_dir = wal_dir("rejoin-follower");
+    let shards = 2usize;
+
+    let mut leader_cfg = fast_lease_cfg();
+    leader_cfg.shards = shards;
+    leader_cfg.wal_dir = Some(leader_dir.clone());
+    leader_cfg.lease_base_ms = 60_000;
+    leader_cfg.repl_ttl_ms = 1_200;
+    leader_cfg.repl_poll_ms = 40;
+    let leader = start(&testbed, leader_cfg.clone(), NetConfig::default()).expect("leader boots");
+
+    let mut follower_cfg = leader_cfg.clone();
+    follower_cfg.wal_dir = Some(follower_dir.clone());
+    follower_cfg.replica_of = Some(leader.addr.to_string());
+    let follower = start(&testbed, follower_cfg, NetConfig::default()).expect("follower boots");
+
+    let mut client = Client::connect(&leader.addr.to_string()).expect("connect leader");
+    for _ in 0..4 {
+        let reply = client
+            .request(Request::Submit {
+                app: app.clone(),
+                demand: None,
+            })
+            .expect("submit");
+        assert!(
+            matches!(reply, Reply::Ok { .. }),
+            "submit refused: {reply:?}"
+        );
+    }
+    drop(client);
+    let fmetrics = std::sync::Arc::clone(follower.metrics());
+    wait_until("follower catches up", || {
+        fmetrics.wal_records.load(Ordering::Relaxed) >= 4
+            && fmetrics.repl_lag_frames.load(Ordering::Relaxed) == 0
+    });
+
+    leader.stop();
+    leader.join();
+    wait_until("follower promotes", || {
+        fmetrics.repl_role.load(Ordering::Relaxed) == Role::Leader as u8 as u64
+    });
+    let promoted_epoch = fmetrics.repl_epoch.load(Ordering::Relaxed);
+    assert!(promoted_epoch >= 2, "promotion must claim a higher epoch");
+
+    // Restart the ex-leader on its own directory, no replica_of: the
+    // sidecar still says "leader", so only the boot probe of the
+    // recorded peer keeps it from serving as a second leader.
+    let rejoined = start(&testbed, leader_cfg, NetConfig::default()).expect("ex-leader reboots");
+    let rmetrics = std::sync::Arc::clone(rejoined.metrics());
+    assert_eq!(
+        rmetrics.repl_role.load(Ordering::Relaxed),
+        Role::Fenced as u8 as u64,
+        "the boot probe must fence the rebooted ex-leader"
+    );
+    assert_eq!(rmetrics.repl_epoch.load(Ordering::Relaxed), promoted_epoch);
+    let boot_snapshots = rmetrics.wal_snapshots.load(Ordering::Relaxed);
+    let mut rclient = Client::connect(&rejoined.addr.to_string()).expect("connect ex-leader");
+    match rclient
+        .request(Request::Submit {
+            app: app.clone(),
+            demand: None,
+        })
+        .expect("fenced submit roundtrip")
+    {
+        Reply::Error { kind, .. } => assert_eq!(kind, ErrorKind::NotLeader),
+        other => panic!("fenced ex-leader served a mutation: {other:?}"),
+    }
+    drop(rclient);
+
+    wait_until("ex-leader rejoins as follower", || {
+        rmetrics.repl_role.load(Ordering::Relaxed) == Role::Follower as u8 as u64
+    });
+    wait_until("rejoined shards catch up through snapshot installs", || {
+        rmetrics.repl_lag_frames.load(Ordering::Relaxed) == 0
+            && rmetrics.wal_snapshots.load(Ordering::Relaxed) >= boot_snapshots + shards as u64
+    });
+    // The promoted node keeps leading.
+    assert_eq!(
+        fmetrics.repl_role.load(Ordering::Relaxed),
+        Role::Leader as u8 as u64
+    );
+
+    rejoined.stop();
+    rejoined.join();
+    follower.stop();
+    follower.join();
+    let _ = std::fs::remove_dir_all(&leader_dir);
+    let _ = std::fs::remove_dir_all(&follower_dir);
+}
